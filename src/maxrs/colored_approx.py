@@ -20,7 +20,7 @@ from maxrs.balls import centers_array, colors_array
 from maxrs.colored_exact import ColoredResult, exact_colored_maxrs_arrays
 from maxrs.colored_sample import colored_solve
 from maxrs.depths import colored_depths
-from maxrs.geometry import mix_key
+from maxrs.geometry import mix_keys
 
 __all__ = ["ColorSamplePlan", "plan_color_sample", "approx_colored_maxrs"]
 
@@ -61,9 +61,7 @@ def plan_color_sample(colors, estimate: int, eps: float, c1: float, seed: int) -
         )
     rate = min(1.0, threshold / estimate)
     # One keyed draw per color: reruns with one seed keep the same colors.
-    draws = np.array(
-        [mix_key((seed, int(c), _PLAN_SALT)) for c in uniq], dtype=np.uint64
-    )
+    draws = mix_keys([seed, uniq, _PLAN_SALT])
     keep = (draws.astype(np.float64) / 2.0**64) < rate
     return ColorSamplePlan(
         estimate=estimate,

@@ -10,20 +10,26 @@ Two cooperating routes:
   witness is the answer.
 
 - Grid route: shifted unit grids (cell side 1, shift step derived from
-  target 0.25).  For every shift and every cell having at least one disk
-  that contains a cell corner, non-corner disks are discarded and the
-  decomposition route runs on the survivors.  The best result over all
-  cells and shifts is exact: survivor depth never exceeds true depth
-  anywhere, and for the optimal point some shift keeps every disk covering
-  it.  Cells are processed by decreasing color upper bound so the search
-  stops as soon as no unprocessed cell can win.
+  target 0.25, so 6 x 6 shifts).  A cell's survivors are the disks that
+  contain one of its corners; the decomposition route runs on them alone.
+  One array pass over all shifts at once builds the table of survivor
+  cells: the lattice points near each disk are tested for containment
+  over every (shift, disk, neighbour) triple, a cell with a contained
+  corner becomes one row (shift, zx, zy, disk), and one stable
+  lexicographic sort groups the rows into per-cell survivor runs, each
+  with a distinct-color upper bound.  The best
+  result over all cells and shifts is exact: survivor depth never exceeds
+  true depth anywhere, and for the optimal point some shift keeps every
+  disk covering it.  Cells are processed by decreasing color upper bound,
+  ties in (shift, zx, zy) order, so the search stops as soon as no
+  unprocessed cell can win.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +64,12 @@ _BOT = -2
 _INFLATE = 3.0
 
 _CELL_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+# Shifted unit grids of the grid route: 6 x 6 offsets, step 1/6.
+_GRID_OFFSETS = make_grid_collection(2, 1.0, 0.25).offsets
+# Lattice offsets around a center, x-major: entry 3 * (dx + 1) + (dy + 1).
+_NEIGH = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1], indexing="ij"), axis=-1).reshape(-1, 2)
+# (shift, disk) pairs per survivor block; bounds the incidence transients.
+_BLOCK_PAIRS = 8192
 
 
 @dataclass
@@ -338,41 +350,75 @@ def corner_survivors(centers: np.ndarray, cell_lo: tuple[float, float]) -> np.nd
     return (d2 <= 1.0).any(axis=1)
 
 
-def _grid_cells_with_survivors(centers: np.ndarray, colors: np.ndarray):
-    """For every shift of the unit grid: cells with at least one disk
-    containing a cell corner, that disk list, and a per-cell distinct-color
-    upper bound.  Yields one record per grid."""
-    gc = make_grid_collection(2, 1.0, 0.25)
-    n = len(centers)
-    neigh = np.stack(np.meshgrid([-1, 0, 1], [-1, 0, 1], indexing="ij"), axis=-1).reshape(-1, 2)
-    corner_of_cell = np.stack(np.meshgrid([0, -1], [0, -1], indexing="ij"), axis=-1).reshape(-1, 2)
-    for g in range(gc.n_grids):
-        off = gc.offsets[g]
-        base = np.floor(centers - off[None, :]).astype(np.int64)
-        zq = base[:, None, :] + neigh[None, :, :]
-        q = off[None, None, :] + zq
-        d2 = ((q - centers[:, None, :]) ** 2).sum(axis=2)
-        disk_i, corner_j = np.nonzero(d2 <= 1.0)
-        if len(disk_i) == 0:
-            continue
-        zq_hit = zq[disk_i, corner_j]
-        cell_z = zq_hit[:, None, :] + corner_of_cell[None, :, :]
-        disks = np.repeat(disk_i, len(corner_of_cell))
-        rows = np.concatenate([cell_z.reshape(-1, 2), disks[:, None]], axis=1)
-        rows = np.unique(rows, axis=0)
-        cz, cd = rows[:, :2], rows[:, 2]
+class _SurvivorCells(NamedTuple):
+    """Grid cells, over every shift, having a disk through a cell corner.
 
-        start = np.ones(len(rows), dtype=bool)
-        start[1:] = np.any(cz[1:] != cz[:-1], axis=1)
-        cell_id = np.cumsum(start) - 1
+    Rows are sorted by (shift, zx, zy); cell k keeps the ascending disk
+    indices disks[starts[k]:starts[k + 1]]."""
 
-        pair = np.stack([cell_id, colors[cd]], axis=1)
-        uniq_pair = np.unique(pair, axis=0)
-        ub = np.bincount(uniq_pair[:, 0], minlength=cell_id[-1] + 1)
+    shift: np.ndarray  # (C,) grid index
+    z: np.ndarray  # (C, 2) lattice coordinates
+    lo: np.ndarray  # (C, 2) lower-left corner: grid offset + z
+    ub: np.ndarray  # (C,) distinct colors among the cell's disks
+    disks: np.ndarray  # survivor disk indices, cell after cell
+    starts: np.ndarray  # (C + 1,) run bounds into disks
 
-        starts = np.flatnonzero(start)
-        ends = np.append(starts[1:], len(rows))
-        yield g, off, cz[starts], ub, cd, starts, ends
+
+def _grid_cells_with_survivors(centers: np.ndarray, colors: np.ndarray) -> _SurvivorCells:
+    """Every (shift, cell, disk) incidence where the disk contains a corner
+    of the cell, grouped into cells with a distinct-color upper bound."""
+    offsets = _GRID_OFFSETS
+    n_grids = len(offsets)
+    per_block = max(1, _BLOCK_PAIRS // n_grids)
+    shift_parts, zx_parts, zy_parts, disk_parts = [], [], [], []
+    for i in range(0, len(centers), per_block):
+        blk = centers[i : i + per_block]
+        # Lattice points base + (-1..1, -1..1) around each center, per shift;
+        # no other lattice point lies within distance 1.
+        base = np.floor(blk[None, :, :] - offsets[:, None, :]).astype(np.int64)
+        q = offsets[:, None, None, :] + (base[:, :, None, :] + _NEIGH)
+        hit = ((q - blk[None, :, None, :]) ** 2).sum(axis=3) <= 1.0
+        # Cell base + (u - 2) has corners at lattice offsets u - 2 and u - 1,
+        # padded indices u and u + 1: a 2 x 2 dilation of the hit mask.
+        pad = np.zeros((n_grids, len(blk), 5, 5), dtype=bool)
+        pad[:, :, 1:4, 1:4] = hit.reshape(n_grids, len(blk), 3, 3)
+        cell = pad[:, :, :4, :4] | pad[:, :, 1:, :4] | pad[:, :, :4, 1:] | pad[:, :, 1:, 1:]
+        g, disk, ux, uy = np.nonzero(cell)
+        shift_parts.append(g)
+        zx_parts.append(base[g, disk, 0] + (ux - 2))
+        zy_parts.append(base[g, disk, 1] + (uy - 2))
+        disk_parts.append(disk + i)
+    shift = np.concatenate(shift_parts)
+    zx = np.concatenate(zx_parts)
+    zy = np.concatenate(zy_parts)
+    disks = np.concatenate(disk_parts)
+
+    # Each (shift, cell, disk) row occurs once, in ascending disk order per
+    # (shift, cell); a stable sort by cell keeps that order inside cells.
+    o = np.lexsort((zy, zx, shift))
+    shift, zx, zy, disks = shift[o], zx[o], zy[o], disks[o]
+    fresh_cell = np.ones(len(o), dtype=bool)
+    fresh_cell[1:] = (shift[1:] != shift[:-1]) | (zx[1:] != zx[:-1]) | (zy[1:] != zy[:-1])
+    first = np.flatnonzero(fresh_cell)
+
+    # Distinct (cell, color) pairs over dense color ids; cell * n_colors
+    # stays far below 2^63 for any table that fits in memory.
+    uniq_colors, color_id = np.unique(colors, return_inverse=True)
+    pair = (np.cumsum(fresh_cell) - 1) * len(uniq_colors) + color_id.reshape(-1)[disks]
+    pair.sort()
+    distinct = np.ones(len(pair), dtype=bool)
+    distinct[1:] = pair[1:] != pair[:-1]
+    ub = np.bincount(pair[distinct] // len(uniq_colors), minlength=len(first))
+
+    shift, z = shift[first], np.stack([zx[first], zy[first]], axis=1)
+    return _SurvivorCells(
+        shift=shift,
+        z=z,
+        lo=offsets[shift] + z.astype(np.float64),
+        ub=ub,
+        disks=disks,
+        starts=np.append(first, len(disks)),
+    )
 
 
 def exact_colored_maxrs_arrays(centers, colors) -> ColoredResult:
@@ -386,7 +432,7 @@ def exact_colored_maxrs_arrays(centers, colors) -> ColoredResult:
     centers, colors, _ = dedupe_exact(centers, colors)
     centers = perturb_centers(centers)
 
-    records = list(_grid_cells_with_survivors(centers, colors))
+    cells = _grid_cells_with_survivors(centers, colors)
 
     best = -1
     best_point: tuple[float, float] | None = None
@@ -395,51 +441,33 @@ def exact_colored_maxrs_arrays(centers, colors) -> ColoredResult:
     # batch.  Corner depths are lower bounds on the optimum, so a strong
     # seed lets the upper-bound sweep skip nearly all cells; on larger
     # inputs corners are scored lazily per processed cell instead.
-    n_cells_total = sum(len(r[3]) for r in records)
-    corner_prepass = n_cells_total * 4 * len(centers) <= 2e7
+    corner_prepass = len(cells.ub) * 4 * len(centers) <= 2e7
     if corner_prepass:
-        chunks = [
-            (off[None, None, :] + cells_z.astype(np.float64)[:, None, :] + _CELL_CORNERS[None, :, :]).reshape(-1, 2)
-            for _, off, cells_z, _, _, _, _ in records
-        ]
-        cpts = np.concatenate(chunks)
+        cpts = (cells.lo[:, None, :] + _CELL_CORNERS[None, :, :]).reshape(-1, 2)
         vals = dp.colored_depths(cpts, centers, colors)
         i = int(np.argmax(vals))
         best = int(vals[i])
         best_point = (float(cpts[i, 0]), float(cpts[i, 1]))
+    else:
+        ucenters, ustarts = dp.color_groups(centers, colors)
 
-    order_rows = []
-    for rec_idx, (g, off, cells_z, ub, cd, starts, ends) in enumerate(records):
-        order_rows.append(
-            np.stack(
-                [
-                    ub.astype(np.int64),
-                    np.full(len(ub), g, dtype=np.int64),
-                    cells_z[:, 0],
-                    cells_z[:, 1],
-                    np.full(len(ub), rec_idx, dtype=np.int64),
-                    np.arange(len(ub), dtype=np.int64),
-                ],
-                axis=1,
-            )
-        )
-    allrows = np.concatenate(order_rows)
-    o = np.lexsort((allrows[:, 3], allrows[:, 2], allrows[:, 1], -allrows[:, 0]))
-    allrows = allrows[o]
-
+    # Decreasing color bound; ties keep the table's (shift, zx, zy) order.
+    order = np.argsort(-cells.ub, kind="stable").tolist()
+    ubs = cells.ub.tolist()
+    starts = cells.starts.tolist()
     memo: dict[bytes, tuple[tuple[float, float], int]] = {}
-    for ub, g, zx, zy, rec_idx, local in allrows:
+    for k in order:
+        ub = ubs[k]
         if ub <= best:
             break
-        _, off, cells_z, _, cd, starts, ends = records[rec_idx]
 
         if not corner_prepass:
             # Every disk through a cell corner survives, so the full-input
             # depth at a corner equals the survivor depth there and cannot
             # exceed this cell's optimum or its color bound.  A corner that
             # meets the bound settles the cell without a decomposition.
-            corners = off[None, :] + np.array([zx, zy], dtype=np.float64)[None, :] + _CELL_CORNERS
-            cv = dp.colored_depths(corners, centers, colors)
+            corners = cells.lo[k] + _CELL_CORNERS
+            cv = dp.colored_depths_u(corners, ucenters, ustarts)
             ci = int(np.argmax(cv))
             if int(cv[ci]) > best:
                 best = int(cv[ci])
@@ -447,7 +475,7 @@ def exact_colored_maxrs_arrays(centers, colors) -> ColoredResult:
             if ub <= best:
                 continue
 
-        members = cd[starts[local] : ends[local]]
+        members = cells.disks[starts[k] : starts[k + 1]]
         key = members.tobytes()
         hit = memo.get(key)
         if hit is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from maxrs.geometry import mix_key
+from maxrs.geometry import mix_keys
 
 __all__ = [
     "SNAP",
@@ -54,12 +54,9 @@ def perturb_centers(centers, ids=None) -> np.ndarray:
     if ids is None:
         ids = np.arange(n)
     snapped = np.round(centers / SNAP) * SNAP
-    off = np.empty_like(snapped)
-    for i, disk_id in enumerate(ids):
-        for ax in range(d):
-            u = mix_key((int(disk_id), ax, _PERTURB_SALT)) / 2.0**64
-            off[i, ax] = (u - 0.5) * _JIG
-    return snapped + off
+    id_col = np.asarray(ids).reshape(n, 1)
+    u = mix_keys([id_col, np.arange(d)[None, :], _PERTURB_SALT]) / 2.0**64
+    return snapped + (u - 0.5) * _JIG
 
 
 def dedupe_exact(centers, colors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ __all__ = [
     "sample_on_sphere",
     "sphere_samples_keyed",
     "mix_key",
+    "mix_keys",
     "cell_stream_key",
     "cell_stream_keys",
     "cap_fraction_2d",
@@ -216,10 +217,27 @@ def _fold_u64(parts: list[np.ndarray]) -> np.ndarray:
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 
+def _as_u64(col) -> np.ndarray:
+    """Integers of any sign and size as their low 64 bits, in uint64."""
+    arr = np.atleast_1d(np.asarray(col))
+    if arr.dtype.kind == "u":
+        return arr.astype(np.uint64)
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64).view(np.uint64)
+    flat = [int(v) & _U64_MASK for v in arr.ravel()]
+    return np.array(flat, dtype=np.uint64).reshape(arr.shape)
+
+
+def mix_keys(columns: Iterable) -> np.ndarray:
+    """Vectorized mix_key: fold integer columns (arrays or scalars,
+    broadcast against each other) elementwise into uint64 keys.  Each entry
+    equals mix_key of the columns' entries at its position."""
+    return _fold_u64(np.broadcast_arrays(*[_as_u64(c) for c in columns]))
+
+
 def mix_key(parts: Iterable[int]) -> int:
     """Fold integers (any sign) into one 64-bit stream key."""
-    cols = [np.array([int(v) & _U64_MASK], dtype=np.uint64) for v in parts]
-    return int(_fold_u64(cols)[0])
+    return int(mix_keys([int(v) & _U64_MASK for v in parts])[0])
 
 
 def cell_stream_key(master_seed: int, salt: int, grid_index: int, lattice: tuple[int, ...]) -> int:

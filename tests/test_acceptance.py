@@ -398,7 +398,7 @@ def test_c14_update_time_scaling_report():
     # Informational: recorded, never failing.
     tag = "PASS" if fit_ok else "FAIL"
     record_acceptance(
-        f"ACCEPTANCE 14 {tag} median update time fits a*log(n) within factor 2 "
+        f"ACCEPTANCE 14 {tag} median update time fits a*log(n) within factor 4 "
         f"over n in {{1e3,1e4,1e5}} (non-gating; med_us={meds[0]:.0f}/{meds[1]:.0f}/"
         f"{meds[2]:.0f}, spread={spread:.2f})"
     )

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from maxrs.cli import main
+from maxrs.cli import _build_parser, main
 from maxrs.io import load_instance, load_trace
 
 
@@ -158,3 +160,12 @@ def test_bad_arguments_exit_nonzero(tmp_path):
         main(["generate", "planted", "--out", str(tmp_path / "x.json")])  # no --k
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_readme_bench_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("maxrs bench ")]
+    assert len(lines) == 1
+    args = _build_parser().parse_args(shlex.split(lines[0])[1:])
+    assert args.cmd == "bench"
+    assert [int(s) for s in args.n_steps.split(",")] == [1000, 4000]

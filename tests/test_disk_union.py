@@ -16,6 +16,7 @@ from maxrs.disk_union import (
     split_monotone_angles,
     union_arcs,
 )
+from maxrs.geometry import mix_key
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +40,41 @@ def test_perturb_separates_identical_centers():
     centers = np.zeros((3, 2))
     moved = perturb_centers(centers, ids=[0, 1, 2])
     assert len({tuple(row) for row in moved}) == 3
+
+
+def _perturb_ref(centers, ids=None):
+    """Per-(disk, axis) mix_key loop the vectorized perturbation replaced."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    n, d = centers.shape
+    if ids is None:
+        ids = np.arange(n)
+    snapped = np.round(centers / SNAP) * SNAP
+    off = np.empty_like(snapped)
+    for i, disk_id in enumerate(ids):
+        for ax in range(d):
+            u = mix_key((int(disk_id), ax, 0x5EED)) / 2.0**64
+            off[i, ax] = (u - 0.5) * 2.0**-40
+    return snapped + off
+
+
+def test_perturb_matches_per_disk_loop_bitwise():
+    rng = np.random.default_rng(42)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        d = int(rng.integers(1, 4))
+        centers = rng.uniform(-50.0, 50.0, size=(n, d))
+        id_sets = (
+            None,
+            rng.permutation(n) + 1000,
+            rng.integers(-(2**62), 2**62, size=n),
+            [int(v) for v in rng.integers(-40, 0, size=n)],
+        )
+        for ids in id_sets:
+            got = perturb_centers(centers, ids)
+            assert got.tobytes() == _perturb_ref(centers, ids).tobytes()
+            # idempotence holds for the reference and the vectorized form alike
+            assert perturb_centers(got, ids).tobytes() == _perturb_ref(got, ids).tobytes()
+            assert perturb_centers(got, ids).tobytes() == got.tobytes()
 
 
 def test_dedupe_exact_keeps_first_occurrences():

@@ -18,6 +18,7 @@ from maxrs.geometry import (
     cells_intersecting_ball,
     make_grid_collection,
     mix_key,
+    mix_keys,
     sample_on_sphere,
     sphere_samples_keyed,
 )
@@ -52,6 +53,30 @@ def test_mix_key_is_deterministic_and_order_sensitive():
     assert mix_key((0,)) != mix_key((0, 0))
     # negative ints fold through two's complement, not an error
     assert 0 <= mix_key((-5, 7)) <= MASK64
+
+
+def fold_ref(parts) -> int:
+    k = 1 << 63
+    for p in parts:
+        k = sm64_ref(k ^ (int(p) & MASK64))
+    return k
+
+
+def test_mix_key_matches_plain_integer_fold():
+    for parts in ((1, 2, 3), (-5, 7), (0,), (2**64 - 1, -(2**63)), (2**70 + 3, -(2**62), 9)):
+        assert mix_key(parts) == fold_ref(parts)
+
+
+def test_mix_keys_match_mix_key_per_entry():
+    ids = np.array([0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)], dtype=np.int64)
+    big = [2**64 - 1, 2**70, -(2**65), 5, 0, -3, 2**63]
+    keys = mix_keys([11, ids, big, np.arange(3)[:, None, None]])
+    assert keys.dtype == np.uint64 and keys.shape == (3, 1, len(ids))
+    for ax in range(3):
+        for i in range(len(ids)):
+            assert int(keys[ax, 0, i]) == mix_key((11, int(ids[i]), big[i], ax))
+    unsigned = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert mix_keys([unsigned]).tolist() == [mix_key((int(v),)) for v in unsigned]
 
 
 def test_cell_stream_keys_match_scalar_path():
