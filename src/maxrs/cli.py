@@ -324,13 +324,20 @@ def _cmd_run(args) -> int:
 
 # ------------------------------------------------------------------ bench
 
-def _bench_step(args, n: int) -> dict:
+def _bench_source(args, n: int):
+    """The step-n ball stream: its rng and a sampler of (center, weight),
+    centers uniform in a cube whose volume grows with n."""
     rng = np.random.default_rng(args.seed + n)
     extent = max(2.0, 1.2 * n ** (1.0 / args.d))
     sampler = lambda: (
         tuple(float(x) for x in rng.uniform(-extent, extent, size=args.d)),
         float(rng.uniform(0.5, 2.0)),
     )
+    return rng, sampler
+
+
+def _bench_step(args, n: int) -> dict:
+    rng, sampler = _bench_source(args, n)
     balls = []
     for i in range(n):
         c, w = sampler()
@@ -461,11 +468,13 @@ def _build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=None)
 
     b = sub.add_parser("bench", help="dynamic update-time benchmark")
-    b.add_argument("--n-steps", default="1000,3162,10000")
+    # Stored samples and depths take cells x t x (d + 1) x 8 bytes; these
+    # defaults keep that near 0.16 GiB at the largest step.
+    b.add_argument("--n-steps", default="250,500,1000")
     b.add_argument("--ops", type=int, default=2000)
     b.add_argument("--d", type=int, default=2)
     b.add_argument("--eps", type=float, default=0.3)
-    b.add_argument("--c-sample", type=float, default=1.0)
+    b.add_argument("--c-sample", type=float, default=0.1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out")
     b.add_argument("--format", choices=("json", "csv"), default="csv")

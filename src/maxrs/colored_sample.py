@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from maxrs.balls import centers_array, colors_array
 from maxrs.sample_solver import SolveOutcome, max_colored_sample
 
-__all__ = ["colored_solve", "colored_depth_flagged"]
+__all__ = ["colored_solve"]
 
 
-def colored_solve(
-    balls, d: int, eps: float, c_sample: float = 4.0, seed: int = 0, *, prune: bool = True
-) -> SolveOutcome | None:
+def colored_solve(balls, d: int, eps: float, c_sample: float = 4.0, seed: int = 0) -> SolveOutcome | None:
     """Deepest circumsphere sample by number of distinct covering colors."""
     balls = list(balls)
     if not balls:
@@ -21,22 +17,4 @@ def colored_solve(
     if centers.shape[1] != d:
         raise ValueError(f"balls have dimension {centers.shape[1]}, expected {d}")
     colors = colors_array(balls)
-    return max_colored_sample(centers, colors, d, eps, c_sample, seed, prune=prune)
-
-
-def colored_depth_flagged(point, centers, colors) -> int:
-    """Distinct covering colors of one point, counted one ball at a time with
-    a seen-flag per color.  Reference implementation for tests; the solvers
-    use a vectorized equivalent."""
-    point = np.asarray(point, dtype=np.float64)
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    seen: set[int] = set()
-    count = 0
-    for c, color in zip(centers, colors):
-        if int(color) in seen:
-            continue
-        diff = c - point
-        if float(diff @ diff) <= 1.0:
-            seen.add(int(color))
-            count += 1
-    return count
+    return max_colored_sample(centers, colors, d, eps, c_sample, seed)

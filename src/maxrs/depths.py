@@ -5,8 +5,11 @@ centers, vectorized and chunked. At the instance sizes this package targets
 (thousands of balls), that outruns any spatial index, and it doubles as the
 trusted evaluation layer the solvers' pruning bounds are checked against.
 
-Centers are deduplicated first, so degenerate inputs (many balls stacked on
-one center) cost one distance row instead of n.
+Centers are deduplicated first (dedupe_centers, color_groups), so
+degenerate inputs (many balls stacked on one center) cost one distance row
+instead of n.  Callers that query one center set many times, such as the
+sample solver's evaluators, deduplicate once and call the `_u` kernels and
+mass_within_box, which take centers as given.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ __all__ = [
     "weighted_depths_u",
     "colored_depths",
     "colored_depths_u",
-    "mass_within",
-    "colors_within",
     "mass_within_box",
-    "colors_within_box",
+    "colors_within_box_u",
 ]
 
 # Rows of query points processed per distance block; bounds peak memory.
@@ -98,16 +99,6 @@ def colored_depths(points, centers, colors, radius2: float = 1.0) -> np.ndarray:
     return colored_depths_u(points, ucenters, starts, radius2)
 
 
-def mass_within(points, centers, weights, radius: float) -> np.ndarray:
-    """Total ball weight within `radius` of each query point."""
-    return weighted_depths(points, centers, weights, radius2=radius * radius)
-
-
-def colors_within(points, centers, colors, radius: float) -> np.ndarray:
-    """Distinct colors with a center within `radius` of each query point."""
-    return colored_depths(points, centers, colors, radius2=radius * radius)
-
-
 def _box_gap2(lo: np.ndarray, side: float, centers: np.ndarray) -> np.ndarray:
     hi = lo + side
     gap = np.maximum(np.maximum(lo[:, None, :] - centers[None, :, :], centers[None, :, :] - hi[:, None, :]), 0.0)
@@ -115,24 +106,28 @@ def _box_gap2(lo: np.ndarray, side: float, centers: np.ndarray) -> np.ndarray:
 
 
 def mass_within_box(lo, side: float, centers, weights, radius: float) -> np.ndarray:
-    """Total weight of centers within `radius` of each closed box [lo, lo+side]."""
+    """Total weight of centers within `radius` of each closed box [lo, lo+side].
+
+    Centers are taken as given; pass dedupe_centers output to pay one
+    distance row per distinct center."""
     lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
     if len(centers) == 0:
         return np.zeros(len(lo))
-    uniq, sums = dedupe_centers(centers, weights)
+    centers = np.asarray(centers, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     out = np.empty(len(lo))
     r2 = radius * radius
     for i in range(0, len(lo), _CHUNK):
-        out[i : i + _CHUNK] = (_box_gap2(lo[i : i + _CHUNK], side, uniq) <= r2) @ sums
+        out[i : i + _CHUNK] = (_box_gap2(lo[i : i + _CHUNK], side, centers) <= r2) @ weights
     return out
 
 
-def colors_within_box(lo, side: float, centers, colors, radius: float) -> np.ndarray:
-    """Distinct colors with a center within `radius` of each closed box."""
+def colors_within_box_u(lo, side: float, ucenters: np.ndarray, starts: np.ndarray, radius: float) -> np.ndarray:
+    """Distinct colors with a center within `radius` of each closed box,
+    against color_groups output."""
     lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
-    if len(centers) == 0:
+    if len(ucenters) == 0:
         return np.zeros(len(lo), dtype=np.int64)
-    ucenters, starts = color_groups(centers, colors)
     out = np.empty(len(lo), dtype=np.int64)
     r2 = radius * radius
     for i in range(0, len(lo), _CHUNK):

@@ -2,8 +2,10 @@
 
 Active state is the set of grid cells whose closed box touches at least one
 stored ball.  Each active cell keeps its t keyed circumsphere samples and
-their exact depths; updates touch only cells near the changed ball, and a
-per-cell support count tells exactly when a cell leaves the universe.
+their exact depths; updates touch only cells near the changed ball (one
+geometry.cells_near_ball window over all grids), and a per-cell support
+count tells exactly when a cell leaves the universe.  Rebuilds activate the
+whole universe at once from geometry.universe_with_support.
 
 Sample streams are keyed by (seed, salt, cell), so a cell activated,
 deactivated, and activated again within one epoch regenerates the identical
@@ -28,7 +30,9 @@ from maxrs.geometry import (
     CellKey,
     box_dist2,
     cell_stream_keys,
+    cells_near_ball,
     sphere_samples_keyed,
+    universe_with_support,
 )
 from maxrs.sample_solver import (
     PAD,
@@ -42,42 +46,7 @@ from maxrs.sample_solver import (
 __all__ = ["DynamicMaxRS", "static_solve"]
 
 
-def universe_with_support(gc, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All cells (over every grid) whose closed box touches some ball, plus
-    per-cell touching-ball counts.  Same predicate as cells_intersecting_ball,
-    evaluated as one incidence table per grid; counts fall out of the
-    deduplication for free.  Rows come back grid-major, lattice-lexicographic."""
-    d, s = gc.d, gc.cell_side
-    m = math.ceil(1.0 / s) + 1
-    axis = np.arange(-m, m + 1, dtype=np.int64)
-    W = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    gs_parts, zs_parts, ct_parts = [], [], []
-    for g in range(gc.n_grids):
-        off = gc.offsets[g]
-        rows = []
-        for i in range(0, len(centers), 8192):
-            blk = centers[i : i + 8192]
-            base = np.floor((blk - off) / s).astype(np.int64)
-            cand = (base[:, None, :] + W[None, :, :]).reshape(-1, d)
-            lo = off + cand * s
-            rep = np.repeat(blk, len(W), axis=0)
-            rows.append(cand[box_dist2(lo, lo + s, rep) <= 1.0])
-        cand = np.concatenate(rows)
-        # Deduplicate via packed 1-d keys; rows sort far faster that way.
-        zmin = cand.min(axis=0)
-        dims = cand.max(axis=0) - zmin + 1
-        packed = np.ravel_multi_index(tuple((cand - zmin).T), tuple(dims))
-        keys, ct = np.unique(packed, return_counts=True)
-        z = np.stack(np.unravel_index(keys, tuple(dims)), axis=1) + zmin
-        gs_parts.append(np.full(len(z), g, dtype=np.int64))
-        zs_parts.append(z)
-        ct_parts.append(ct)
-    return np.concatenate(gs_parts), np.concatenate(zs_parts), np.concatenate(ct_parts)
-
-
-def static_solve(
-    balls, d: int, eps: float, c_sample: float = 4.0, seed: int = 0, *, prune: bool = True
-) -> SolveOutcome | None:
+def static_solve(balls, d: int, eps: float, c_sample: float = 4.0, seed: int = 0) -> SolveOutcome | None:
     """One-shot deepest weighted sample over a list of WeightedBall."""
     balls = list(balls)
     if not balls:
@@ -86,7 +55,7 @@ def static_solve(
     if centers.shape[1] != d:
         raise ValueError(f"balls have dimension {centers.shape[1]}, expected {d}")
     weights = weights_array(balls)
-    return max_weighted_sample(centers, weights, d, eps, c_sample, seed, prune=prune)
+    return max_weighted_sample(centers, weights, d, eps, c_sample, seed)
 
 
 class DynamicMaxRS:
@@ -234,31 +203,10 @@ class DynamicMaxRS:
         self._rowmax[block] = -math.inf
         self._free.append(block)
 
-    def _near_arrays(self, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cells within box distance 1+rho+PAD of a ball center, all grids at
-        once: one padded lattice window per grid, filtered by the shared
-        closed-box predicate.  Grid-major, lattice-lexicographic, matching a
-        per-grid cells_intersecting_ball sweep cell for cell."""
-        gc = self._gc
-        s = gc.cell_side
-        radius = 1.0 + gc.circumradius + PAD
-        lo_k = np.floor((center - radius - gc.offsets) / s).astype(np.int64) - 1
-        hi_k = np.floor((center + radius - gc.offsets) / s).astype(np.int64) + 1
-        width = int((hi_k - lo_k).max()) + 1
-        axis = np.arange(width, dtype=np.int64)
-        rel = np.stack(
-            np.meshgrid(*([axis] * gc.d), indexing="ij"), axis=-1
-        ).reshape(-1, gc.d)
-        z = lo_k[:, None, :] + rel[None, :, :]
-        box_lo = gc.offsets[:, None, :] + z * s
-        d2 = box_dist2(box_lo, box_lo + s, center)
-        g_idx, cell_idx = np.nonzero(d2 <= radius * radius)
-        return g_idx.astype(np.int64), z[g_idx, cell_idx]
-
     def _apply_ball(self, center: np.ndarray, weight: float, sign: int) -> None:
         gc = self._gc
         s = gc.cell_side
-        gs, zs = self._near_arrays(center)
+        gs, zs = cells_near_ball(gc, center, 1.0 + gc.circumradius + PAD)
         if len(gs) == 0:
             return
         keys = [(g, *z) for g, z in zip(gs.tolist(), zs.tolist())]

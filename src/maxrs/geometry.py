@@ -1,10 +1,13 @@
-"""Shifted grid families, sphere sampling, and boundary-cap area bounds.
+"""Shifted grid families, cell enumeration, sphere sampling, and
+boundary-cap area bounds.
 
 The solvers in this package all rest on the same trick: lay down a small family
 of axis-aligned grids, shifted so that every point of space sits near the
 center of some cell in some grid, and reason about samples drawn on cell
-circumspheres.  This module owns that machinery plus the closed-form /
-integral bounds on how much of a circumsphere a nearby unit ball covers.
+circumspheres.  This module owns that machinery (including the one way to
+enumerate the cells near a ball, and the cell universe of a ball set) plus
+the closed-form / integral bounds on how much of a circumsphere a nearby
+unit ball covers.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ __all__ = [
     "GridCollection",
     "make_grid_collection",
     "cell_of",
-    "cell_center",
+    "cells_near_ball",
     "cells_intersecting_ball",
+    "universe_with_support",
     "box_dist2",
     "grid_shift_ints",
-    "sample_on_sphere",
     "sphere_samples_keyed",
     "mix_key",
     "mix_keys",
@@ -33,11 +36,6 @@ __all__ = [
     "cap_fraction_2d",
     "cap_fraction_bound",
 ]
-
-# Padding added to candidate windows before exact predicates filter them.
-# Purely a float-safety margin; every returned cell is re-checked exactly.
-_PAD = 1e-9
-
 
 class CellKey(NamedTuple):
     """Identifies one cell: which shifted grid, and its integer lattice coords."""
@@ -113,12 +111,6 @@ def cell_of(gc: GridCollection, grid_index: int, p) -> tuple[CellKey, np.ndarray
     return CellKey(grid_index, tuple(int(v) for v in z)), center
 
 
-def cell_center(gc: GridCollection, key: CellKey) -> np.ndarray:
-    off = gc.offsets[key.grid_index]
-    z = np.asarray(key.lattice, dtype=np.float64)
-    return off + (z + 0.5) * gc.cell_side
-
-
 def box_dist2(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from point(s) c to closed boxes [lo, hi].
 
@@ -129,6 +121,30 @@ def box_dist2(lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", gap, gap)
 
 
+def cells_near_ball(
+    gc: GridCollection, center: np.ndarray, radius: float, grids=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of the selected grids whose closed box is within `radius` of
+    center: grid indices (K,) and lattice coords (K, d), grid-major and
+    lattice-lexicographic.  `grids` indexes gc.offsets (default: every grid).
+
+    One lattice window per grid, padded by one cell per side (a box touching
+    the ball at distance exactly `radius` can sit just outside the naive
+    floor window), all filtered at once by box_dist2."""
+    s = gc.cell_side
+    gidx = np.arange(gc.n_grids, dtype=np.int64)[grids]
+    offs = gc.offsets[gidx]
+    lo_k = np.floor((center - radius - offs) / s).astype(np.int64) - 1
+    hi_k = np.floor((center + radius - offs) / s).astype(np.int64) + 1
+    width = int((hi_k - lo_k).max()) + 1
+    axis = np.arange(width, dtype=np.int64)
+    rel = np.stack(np.meshgrid(*([axis] * gc.d), indexing="ij"), axis=-1).reshape(-1, gc.d)
+    z = lo_k[:, None, :] + rel[None, :, :]
+    box_lo = offs[:, None, :] + z * s
+    g_idx, cell_idx = np.nonzero(box_dist2(box_lo, box_lo + s, center) <= radius * radius)
+    return gidx[g_idx], z[g_idx, cell_idx]
+
+
 def cells_intersecting_ball(
     gc: GridCollection, grid_index: int, center, radius: float = 1.0
 ) -> list[CellKey]:
@@ -136,19 +152,42 @@ def cells_intersecting_ball(
     if not (radius > 0.0 and math.isfinite(radius)):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     c = _as_point(gc, center)
-    off = gc.offsets[grid_index]
-    s = gc.cell_side
-    # Window padded by one cell per side: a box touching the ball at distance
-    # exactly `radius` can sit just outside the naive floor window.
-    lo_k = np.floor((c - radius - off) / s).astype(np.int64) - 1
-    hi_k = np.floor((c + radius - off) / s).astype(np.int64) + 1
-    axes = [np.arange(lo_k[i], hi_k[i] + 1) for i in range(gc.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    z = np.stack([m.ravel() for m in mesh], axis=1)
-    box_lo = off + z * s
-    d2 = box_dist2(box_lo, box_lo + s, c)
-    keep = d2 <= radius * radius
-    return [CellKey(grid_index, tuple(int(v) for v in row)) for row in z[keep]]
+    _, zs = cells_near_ball(gc, c, radius, [grid_index])
+    return [CellKey(grid_index, tuple(row)) for row in zs.tolist()]
+
+
+def universe_with_support(gc: GridCollection, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All cells (over every grid) whose closed box touches some ball, plus
+    per-cell touching-ball counts.  Same predicate as cells_near_ball at
+    radius 1, evaluated as one incidence table per grid; counts fall out of
+    the deduplication for free.  Rows come back grid-major,
+    lattice-lexicographic."""
+    d, s = gc.d, gc.cell_side
+    m = math.ceil(1.0 / s) + 1
+    axis = np.arange(-m, m + 1, dtype=np.int64)
+    W = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    gs_parts, zs_parts, ct_parts = [], [], []
+    for g in range(gc.n_grids):
+        off = gc.offsets[g]
+        rows = []
+        for i in range(0, len(centers), 8192):
+            blk = centers[i : i + 8192]
+            base = np.floor((blk - off) / s).astype(np.int64)
+            cand = (base[:, None, :] + W[None, :, :]).reshape(-1, d)
+            lo = off + cand * s
+            rep = np.repeat(blk, len(W), axis=0)
+            rows.append(cand[box_dist2(lo, lo + s, rep) <= 1.0])
+        cand = np.concatenate(rows)
+        # Deduplicate via packed 1-d keys; rows sort far faster that way.
+        zmin = cand.min(axis=0)
+        dims = cand.max(axis=0) - zmin + 1
+        packed = np.ravel_multi_index(tuple((cand - zmin).T), tuple(dims))
+        keys, ct = np.unique(packed, return_counts=True)
+        z = np.stack(np.unravel_index(keys, tuple(dims)), axis=1) + zmin
+        gs_parts.append(np.full(len(z), g, dtype=np.int64))
+        zs_parts.append(z)
+        ct_parts.append(ct)
+    return np.concatenate(gs_parts), np.concatenate(zs_parts), np.concatenate(ct_parts)
 
 
 def grid_shift_ints(gc: GridCollection) -> np.ndarray:
@@ -159,37 +198,10 @@ def grid_shift_ints(gc: GridCollection) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sphere sampling.
-#
-# Two entry points with identical math (normalize a Gaussian vector):
-#  * sample_on_sphere takes a numpy Generator, for callers managing their own
-#    stream;
-#  * sphere_samples_keyed is counter-based (splitmix64 into Box-Muller), so a
-#    cell's samples depend only on its key, never on the order cells are
-#    visited.  The grid solvers rely on that.
+# Sphere sampling: counter-based (splitmix64 into Box-Muller), so a cell's
+# samples depend only on its key, never on the order cells are visited.  The
+# grid solvers rely on that.
 # ---------------------------------------------------------------------------
-
-def sample_on_sphere(center, radius: float, t: int, rng: np.random.Generator) -> np.ndarray:
-    """t points uniform on the sphere of given center/radius, shape (t, d)."""
-    c = np.asarray(center, dtype=np.float64)
-    if c.ndim != 1 or c.size < 1:
-        raise ValueError("center must be a 1-d point")
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if t < 1:
-        raise ValueError(f"sample count must be >= 1, got {t}")
-    g = rng.standard_normal((t, c.size))
-    norms = np.linalg.norm(g, axis=1)
-    for _ in range(100):
-        bad = norms < 1e-12
-        if not bad.any():
-            break
-        g[bad] = rng.standard_normal((int(bad.sum()), c.size))
-        norms = np.linalg.norm(g, axis=1)
-    else:
-        raise RuntimeError("degenerate rng state: could not draw nonzero directions")
-    return c + radius * (g / norms[:, None])
-
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

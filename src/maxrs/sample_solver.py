@@ -5,13 +5,15 @@ shifted grid) whose closed box touches at least one ball, draw t seeded
 samples on the cell's circumsphere and return the deepest sample, ties going
 to the lowest (grid index, lattice coords, sample index).
 
-Materializing that cell universe explodes at small eps, so the search runs
-top-down instead: balls, then coarse grid-0 "parent" boxes, then cells, each
-layer ordered by an admissible upper bound on any sample depth beneath it.
-A branch is skipped only when its bound proves it cannot beat the incumbent
-(or can at most tie it with a larger tie-break key), so the winner is
-bitwise identical to the full enumeration, which solve_direct performs for
-cross-checks on small inputs.
+Materializing that cell universe (geometry.universe_with_support) explodes
+at small eps, so the search runs top-down instead: balls, then coarse grid-0
+"parent" boxes, then cells, each layer ordered by an admissible upper bound
+on any sample depth beneath it.  A branch is skipped only when its bound
+proves it cannot beat the incumbent (or can at most tie it with a larger
+tie-break key), so the winner is bitwise identical to scoring every sample
+of every universe cell, as the tests do on small inputs.  Depths, masses
+and bounds all come from the `depths` kernels, against centers deduplicated
+once per solve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from maxrs.geometry import (
     GridCollection,
     box_dist2,
     cell_stream_keys,
-    cells_intersecting_ball,
+    cells_near_ball,
     grid_shift_ints,
     make_grid_collection,
     sphere_samples_keyed,
@@ -38,7 +40,6 @@ __all__ = [
     "samples_per_cell",
     "grid_for",
     "canonical_order",
-    "universe_cells",
     "max_weighted_sample",
     "max_colored_sample",
 ]
@@ -76,96 +77,76 @@ class SolveOutcome:
     sample_index: int
 
 
-class _WeightedEval:
-    """Depth/mass queries for weighted depth, with an admissible-bound pad."""
+def _near_rows(cpoints: np.ndarray, point: np.ndarray, radius: float) -> np.ndarray:
+    d2 = np.einsum("ij,ij->i", cpoints - point, cpoints - point)
+    return d2 <= radius * radius
 
-    def __init__(self, centers: np.ndarray, weights: np.ndarray):
-        self.centers = centers
-        self.weights = weights
-        self.uniq, self.sums = dp.dedupe_centers(centers, weights)
-        self.cpoints = self.uniq
+
+class _WeightedEval:
+    """Weighted depth and mass over deduplicated centers (`cpoints`, `sums`),
+    with an admissible-bound pad."""
+
+    def __init__(self, cpoints: np.ndarray, sums: np.ndarray, ub_pad: float):
+        self.cpoints = cpoints
+        self.sums = sums
+        self.ub_pad = ub_pad
+
+    @classmethod
+    def of(cls, centers: np.ndarray, weights: np.ndarray) -> "_WeightedEval":
         # Sums of dyadic weights at these magnitudes are exact in float64, so
         # upper bounds computed by summation need no safety margin; arbitrary
         # weights get one covering accumulated rounding.
         scaled = weights * 2.0**20
         if len(weights) and np.all(scaled == np.round(scaled)) and np.max(np.abs(weights), initial=0) <= 2.0**20:
-            self.ub_pad = 0.0
+            ub_pad = 0.0
         else:
-            self.ub_pad = 1e-9 + 1e-12 * float(np.sum(np.abs(weights)))
+            ub_pad = 1e-9 + 1e-12 * float(np.sum(np.abs(weights)))
+        return cls(*dp.dedupe_centers(centers, weights), ub_pad)
 
     def restrict(self, point: np.ndarray, radius: float) -> "_WeightedEval":
-        d2 = np.einsum("ij,ij->i", self.uniq - point, self.uniq - point)
-        keep = d2 <= radius * radius
-        ev = object.__new__(_WeightedEval)
-        ev.centers = self.centers
-        ev.weights = self.weights
-        ev.uniq = self.uniq[keep]
-        ev.sums = self.sums[keep]
-        ev.cpoints = ev.uniq
-        ev.ub_pad = self.ub_pad
-        return ev
+        keep = _near_rows(self.cpoints, point, radius)
+        return _WeightedEval(self.cpoints[keep], self.sums[keep], self.ub_pad)
 
     def mass_at(self, points: np.ndarray, radius: float) -> np.ndarray:
-        return dp.weighted_depths_u(points, self.uniq, self.sums, radius * radius)
+        return dp.weighted_depths_u(points, self.cpoints, self.sums, radius * radius)
 
     def mass_box(self, lo: np.ndarray, side: float, radius: float) -> np.ndarray:
-        return dp.mass_within_box(lo, side, self.uniq, self.sums, radius)
+        return dp.mass_within_box(lo, side, self.cpoints, self.sums, radius)
 
     def depth(self, points: np.ndarray) -> np.ndarray:
-        return dp.weighted_depths_u(points, self.uniq, self.sums)
+        return dp.weighted_depths_u(points, self.cpoints, self.sums)
 
 
 class _ColoredEval:
-    """Depth/mass queries for colored depth; counts are exact, pad is zero."""
+    """Distinct-color depth and mass over color-grouped centers (`cpoints`,
+    with group ids `gid`); counts are exact, so the pad is zero."""
 
     ub_pad = 0.0
 
-    def __init__(self, centers: np.ndarray, colors: np.ndarray, _groups=None):
-        self.centers = centers
-        self.colors = colors
-        if _groups is None:
-            ucenters, starts = dp.color_groups(centers, colors)
-            # Per-row color ids let restrict() rebuild group boundaries.
-            gid = np.zeros(len(ucenters), dtype=np.int64)
-            gid[starts[1:]] = 1
-            gid = np.cumsum(gid)
-            _groups = (ucenters, gid)
-        self.ucenters, self.gid = _groups
-        self.cpoints = self.ucenters
+    def __init__(self, cpoints: np.ndarray, gid: np.ndarray):
+        self.cpoints = cpoints
+        self.gid = gid
+        self.starts = np.flatnonzero(np.diff(gid, prepend=-1))
+
+    @classmethod
+    def of(cls, centers: np.ndarray, colors: np.ndarray) -> "_ColoredEval":
+        ucenters, starts = dp.color_groups(centers, colors)
+        gid = np.zeros(len(ucenters), dtype=np.int64)
+        gid[starts[1:]] = 1
+        return cls(ucenters, np.cumsum(gid))
 
     def restrict(self, point: np.ndarray, radius: float) -> "_ColoredEval":
-        d2 = np.einsum("ij,ij->i", self.ucenters - point, self.ucenters - point)
-        keep = d2 <= radius * radius
-        return _ColoredEval(self.centers, self.colors, (self.ucenters[keep], self.gid[keep]))
-
-    def _starts(self) -> np.ndarray:
-        if len(self.gid) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(np.concatenate([[True], self.gid[1:] != self.gid[:-1]]))
+        keep = _near_rows(self.cpoints, point, radius)
+        return _ColoredEval(self.cpoints[keep], self.gid[keep])
 
     def mass_at(self, points: np.ndarray, radius: float) -> np.ndarray:
-        return dp.colored_depths_u(points, self.ucenters, self._starts(), radius * radius).astype(np.float64)
+        return dp.colored_depths_u(points, self.cpoints, self.starts, radius * radius).astype(np.float64)
 
     def mass_box(self, lo: np.ndarray, side: float, radius: float) -> np.ndarray:
-        if len(self.ucenters) == 0:
-            return np.zeros(len(np.atleast_2d(lo)))
-        starts = self._starts()
-        lo = np.atleast_2d(np.asarray(lo, dtype=np.float64))
-        out = np.empty(len(lo))
-        r2 = radius * radius
-        for i in range(0, len(lo), 2048):
-            block = lo[i : i + 2048]
-            hi = block + side
-            gap = np.maximum(
-                np.maximum(block[:, None, :] - self.ucenters[None, :, :], self.ucenters[None, :, :] - hi[:, None, :]),
-                0.0,
-            )
-            mask = np.einsum("ijk,ijk->ij", gap, gap) <= r2
-            out[i : i + 2048] = np.maximum.reduceat(mask, starts, axis=1).sum(axis=1)
-        return out
+        return dp.colors_within_box_u(lo, side, self.cpoints, self.starts, radius).astype(np.float64)
 
     def depth(self, points: np.ndarray) -> np.ndarray:
-        return dp.colored_depths_u(points, self.ucenters, self._starts()).astype(np.float64)
+        return dp.colored_depths_u(points, self.cpoints, self.starts).astype(np.float64)
 
 
 def _keys_less(gs: np.ndarray, zs: np.ndarray, key: tuple) -> np.ndarray:
@@ -186,7 +167,7 @@ def canonical_order(gs: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 
 class _Search:
-    """Incumbent tracking plus chunked cell evaluation shared by both paths."""
+    """Incumbent tracking plus chunked cell evaluation."""
 
     def __init__(self, gc: GridCollection, t: int, seed: int, salt: int):
         self.gc = gc
@@ -211,18 +192,17 @@ class _Search:
                 keep = keep | (tie & _keys_less(gs, zs, key))
         return keep
 
-    def consider(self, gs: np.ndarray, zs: np.ndarray, ubs: np.ndarray | None, ev) -> None:
-        """Evaluate cells (canonically pre-sorted); ubs None = no pruning."""
+    def consider(self, gs: np.ndarray, zs: np.ndarray, ubs: np.ndarray, ev) -> None:
+        """Evaluate cells (canonically pre-sorted) whose bound can still win."""
         gc = self.gc
         for i in range(0, len(gs), _CELL_CHUNK):
             cgs, czs = gs[i : i + _CELL_CHUNK], zs[i : i + _CELL_CHUNK]
-            if ubs is not None:
-                # Re-check the chunk: the incumbent may have improved since
-                # the caller filtered.
-                m = self.keep_mask(ubs[i : i + _CELL_CHUNK], cgs, czs)
-                if not m.any():
-                    continue
-                cgs, czs = cgs[m], czs[m]
+            # Re-check the chunk: the incumbent may have improved since the
+            # caller filtered.
+            m = self.keep_mask(ubs[i : i + _CELL_CHUNK], cgs, czs)
+            if not m.any():
+                continue
+            cgs, czs = cgs[m], czs[m]
             centers = gc.offsets[cgs] + (czs + 0.5) * gc.cell_side
             keys = cell_stream_keys(self.seed, self.salt, cgs, czs)
             pts = sphere_samples_keyed(centers, self.rho, self.t, keys)
@@ -273,14 +253,15 @@ def _solve_stream(centers: np.ndarray, ev, gc: GridCollection, t: int, seed: int
     for bi in order:
         if ball_ub[bi] < search.best:
             break
+        _, near = cells_near_ball(gc, centers[bi], 1.0 + rho + PAD, slice(1))
         fresh = []
-        for k in cells_intersecting_ball(gc, 0, centers[bi], radius=1.0 + rho + PAD):
-            if k.lattice not in seen:
-                seen.add(k.lattice)
-                fresh.append(k.lattice)
+        for i, z in enumerate(map(tuple, near.tolist())):
+            if z not in seen:
+                seen.add(z)
+                fresh.append(i)
         if not fresh:
             continue
-        zP = np.array(fresh, dtype=np.int64)
+        zP = near[fresh]
         pub = ev.mass_box(off0 + zP * s, s, 1.0 + rho + PAD) + ev.ub_pad
         porder = np.lexsort((*(zP[:, ax] for ax in reversed(range(d))), -pub))
         for pi in porder:
@@ -307,28 +288,6 @@ def _solve_stream(centers: np.ndarray, ev, gc: GridCollection, t: int, seed: int
     return search.win
 
 
-def universe_cells(gc: GridCollection, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All (grid, lattice) cells touched by some ball, canonically sorted."""
-    cells: set[tuple] = set()
-    for g in range(gc.n_grids):
-        for c in centers:
-            for k in cells_intersecting_ball(gc, g, c):
-                cells.add((k.grid_index, k.lattice))
-    if not cells:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, gc.d), dtype=np.int64)
-    gs = np.array([c[0] for c in cells], dtype=np.int64)
-    zs = np.array([c[1] for c in cells], dtype=np.int64)
-    o = canonical_order(gs, zs)
-    return gs[o], zs[o]
-
-
-def _solve_direct(centers: np.ndarray, ev, gc: GridCollection, t: int, seed: int, salt: int) -> SolveOutcome | None:
-    search = _Search(gc, t, seed, salt)
-    gs, zs = universe_cells(gc, centers)
-    search.consider(gs, zs, None, ev)
-    return search.win
-
-
 def _prep(centers, d: int | None):
     arr = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     if arr.size == 0:
@@ -340,7 +299,7 @@ def _prep(centers, d: int | None):
 
 def max_weighted_sample(
     centers, weights, d: int, eps: float, c_sample: float = 4.0, seed: int = 0,
-    *, salt: int = 0, t: int | None = None, prune: bool = True,
+    *, salt: int = 0, t: int | None = None,
 ) -> SolveOutcome | None:
     """Deepest circumsphere sample by weighted depth; None on empty input."""
     arr = _prep(centers, d)
@@ -349,14 +308,13 @@ def max_weighted_sample(
     gc = grid_for(d, eps)
     if t is None:
         t = samples_per_cell(c_sample, eps, len(arr))
-    ev = _WeightedEval(arr, np.asarray(weights, dtype=np.float64))
-    solver = _solve_stream if prune else _solve_direct
-    return solver(arr, ev, gc, t, seed, salt)
+    ev = _WeightedEval.of(arr, np.asarray(weights, dtype=np.float64))
+    return _solve_stream(arr, ev, gc, t, seed, salt)
 
 
 def max_colored_sample(
     centers, colors, d: int, eps: float, c_sample: float = 4.0, seed: int = 0,
-    *, salt: int = 0, t: int | None = None, prune: bool = True,
+    *, salt: int = 0, t: int | None = None,
 ) -> SolveOutcome | None:
     """Deepest circumsphere sample by distinct-color depth; None on empty input."""
     arr = _prep(centers, d)
@@ -365,6 +323,5 @@ def max_colored_sample(
     gc = grid_for(d, eps)
     if t is None:
         t = samples_per_cell(c_sample, eps, len(arr))
-    ev = _ColoredEval(arr, np.asarray(colors, dtype=np.int64))
-    solver = _solve_stream if prune else _solve_direct
-    return solver(arr, ev, gc, t, seed, salt)
+    ev = _ColoredEval.of(arr, np.asarray(colors, dtype=np.int64))
+    return _solve_stream(arr, ev, gc, t, seed, salt)

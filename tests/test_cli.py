@@ -5,10 +5,13 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from maxrs.cli import _build_parser, main
+from maxrs.cli import _bench_source, _build_parser, main
+from maxrs.geometry import universe_with_support
 from maxrs.io import load_instance, load_trace
+from maxrs.sample_solver import grid_for, samples_per_cell
 
 
 def read_csv(path):
@@ -168,4 +171,17 @@ def test_readme_bench_example_parses():
     assert len(lines) == 1
     args = _build_parser().parse_args(shlex.split(lines[0])[1:])
     assert args.cmd == "bench"
-    assert [int(s) for s in args.n_steps.split(",")] == [1000, 4000]
+    assert [int(s) for s in args.n_steps.split(",")] == [500, 1000, 2000]
+
+
+@pytest.mark.parametrize("argv", [["bench"], ["bench", "--n-steps", "500,1000,2000", "--c-sample", "0.1"]])
+def test_bench_storage_fits_in_one_gib(argv):
+    # Stored samples and depths at the largest step, cells x t x (d + 1) x 8
+    # bytes, from the bench's own input; no structure is built.
+    args = _build_parser().parse_args(argv)
+    n = max(int(s) for s in args.n_steps.split(","))
+    _, sampler = _bench_source(args, n)
+    centers = np.array([sampler()[0] for _ in range(n)])
+    cells = len(universe_with_support(grid_for(args.d, args.eps), centers)[0])
+    t = samples_per_cell(args.c_sample, args.eps, n)
+    assert cells * t * (args.d + 1) * 8 < 2**30

@@ -15,12 +15,18 @@ from maxrs.colored_exact import (
     exact_colored_maxrs_arrays,
     traverse_depths,
 )
-from maxrs.colored_sample import colored_depth_flagged
 from maxrs.disk_union import perturb_centers, union_arcs
 from maxrs.geometry import make_grid_collection
 from maxrs.oracles import brute_colored_maxrs_disks
 
-from helpers import clustered_disks, colored_arrays, hub_disks, random_colored, rosette_disks
+from helpers import (
+    clustered_disks,
+    colored_arrays,
+    colored_depth_flagged,
+    hub_disks,
+    random_colored,
+    rosette_disks,
+)
 
 
 def test_single_disk():

@@ -5,9 +5,10 @@ import pytest
 
 from maxrs import depths as dp
 from maxrs.balls import ColoredBall
-from maxrs.colored_sample import colored_depth_flagged, colored_solve
+from maxrs.colored_sample import colored_solve
+from maxrs.sample_solver import samples_per_cell
 
-from helpers import colored_arrays, random_colored
+from helpers import colored_arrays, colored_depth_flagged, colored_universe_best, random_colored
 
 
 def test_flagged_reference_matches_vectorized():
@@ -57,13 +58,14 @@ def test_input_order_is_irrelevant():
     assert colored_solve(shuffled, 2, 0.3, c_sample=0.5, seed=1) == out
 
 
-def test_pruned_and_direct_agree():
+def test_solve_matches_universe_reference():
     rng = np.random.default_rng(33)
+    t = samples_per_cell(0.5, 0.3, 22)
     for seed in range(3):
         balls = random_colored(rng, 22, 5)
-        a = colored_solve(balls, 2, 0.3, c_sample=0.5, seed=seed, prune=True)
-        b = colored_solve(balls, 2, 0.3, c_sample=0.5, seed=seed, prune=False)
-        assert a == b
+        centers, colors = colored_arrays(balls)
+        out = colored_solve(balls, 2, 0.3, c_sample=0.5, seed=seed)
+        assert out == colored_universe_best(centers, colors, 2, 0.3, t, seed)
 
 
 def test_empty_and_mismatched_inputs():

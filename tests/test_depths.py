@@ -14,6 +14,10 @@ def test_boundary_points_count_as_inside():
     # squared distance from the origin is exactly 1.0
     assert dp.weighted_depths([(0.0, 0.0)], centers, weights)[0] == 2.5
     assert dp.colored_depths([(0.0, 0.0)], centers, np.array([3]))[0] == 1
+    # so does the box [-0.5, 0] x [-0.25, 0.25]
+    lo = np.array([[-0.5, -0.25]])
+    assert dp.mass_within_box(lo, 0.5, centers, weights, 1.0)[0] == 2.5
+    assert dp.colors_within_box_u(lo, 0.5, centers, np.array([0]), 1.0)[0] == 1
 
 
 def test_weighted_depths_match_oracle():
@@ -27,6 +31,16 @@ def test_weighted_depths_match_oracle():
         got = dp.weighted_depths(pts, centers, weights)
         for p, v in zip(pts, got):
             assert v == brute_depth(p, centers, weights)
+    # Radii other than 1: total weight within 1.3 of each point.
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-2, 2, size=(30, 2))
+    weights = rng.integers(1, 9, size=30) / 8.0
+    pts = rng.uniform(-2, 2, size=(20, 2))
+    got = dp.weighted_depths(pts, centers, weights, radius2=1.3 * 1.3)
+    for p, v in zip(pts, got):
+        diff = centers - p
+        near = np.einsum("ij,ij->i", diff, diff) <= 1.3 * 1.3
+        assert v == float(weights[near].sum())
 
 
 def test_colored_depths_match_oracle():
@@ -39,6 +53,11 @@ def test_colored_depths_match_oracle():
         got = dp.colored_depths(pts, centers, colors)
         for p, v in zip(pts, got):
             assert int(v) == brute_colored_depth(p, centers, colors)
+    # Radii other than 1, and repeated colors counted once.
+    centers = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0], [1.4, 0.0]])
+    colors = np.array([1, 1, 2, 3, 4])
+    assert dp.colored_depths([(0.0, 0.0)], centers[:4], colors[:4])[0] == 2
+    assert dp.colored_depths([(0.0, 0.0)], centers, colors, radius2=1.5 * 1.5)[0] == 3
 
 
 def test_dedupe_merges_exact_duplicates():
@@ -73,25 +92,6 @@ def test_depth_of_duplicated_input_is_doubled(seed):
     assert np.array_equal(twice, 2.0 * once)
 
 
-def test_mass_within_matches_direct_scan():
-    rng = np.random.default_rng(5)
-    centers = rng.uniform(-2, 2, size=(30, 2))
-    weights = rng.integers(1, 9, size=30) / 8.0
-    pts = rng.uniform(-2, 2, size=(20, 2))
-    got = dp.mass_within(pts, centers, weights, radius=1.3)
-    for p, v in zip(pts, got):
-        diff = centers - p
-        near = np.einsum("ij,ij->i", diff, diff) <= 1.3 * 1.3
-        assert v == float(weights[near].sum())
-
-
-def test_colors_within_counts_distinct():
-    centers = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0]])
-    colors = np.array([1, 1, 2, 3])
-    out = dp.colors_within([(0.0, 0.0)], centers, colors, radius=1.0)
-    assert int(out[0]) == 2
-
-
 def test_box_mass_is_an_upper_bound_for_inside_points():
     rng = np.random.default_rng(6)
     centers = rng.uniform(-2, 2, size=(25, 2))
@@ -108,8 +108,10 @@ def test_box_mass_is_an_upper_bound_for_inside_points():
 def test_box_mass_matches_direct_gap_computation():
     rng = np.random.default_rng(7)
     centers = rng.uniform(-2, 2, size=(25, 2))
-    weights = rng.integers(1, 9, size=25) / 8.0
-    colors = rng.integers(0, 5, size=25)
+    # repeated rows: mass_within_box takes centers as given
+    centers = np.vstack([centers, centers[:5]])
+    weights = rng.integers(1, 9, size=30) / 8.0
+    colors = rng.integers(0, 5, size=30)
     side = 0.7
     for _ in range(15):
         lo = rng.uniform(-2.5, 2.5, size=2)
@@ -118,6 +120,7 @@ def test_box_mass_matches_direct_gap_computation():
         assert dp.mass_within_box(lo, side, centers, weights, 1.0)[0] == float(
             weights[near].sum()
         )
-        assert dp.colors_within_box(lo, side, centers, colors, 1.0)[0] == len(
+        ucenters, starts = dp.color_groups(centers, colors)
+        assert dp.colors_within_box_u(lo, side, ucenters, starts, 1.0)[0] == len(
             set(colors[near].tolist())
         )

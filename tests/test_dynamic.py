@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from maxrs.balls import WeightedBall
-from maxrs.dynamic import DynamicMaxRS, static_solve, universe_with_support
-from maxrs.geometry import cells_intersecting_ball
+from maxrs.dynamic import DynamicMaxRS, static_solve
+from maxrs.geometry import cells_intersecting_ball, universe_with_support
 from maxrs.sample_solver import grid_for
 
-from helpers import random_weighted
+from helpers import enumeration_edge_centers, random_weighted
 
 
 def test_bulk_build_matches_static_solver():
@@ -148,9 +148,11 @@ def test_same_history_reproduces_outcome():
 
 def test_universe_with_support_matches_per_ball_enumeration():
     rng = np.random.default_rng(10)
-    for d, eps in [(1, 0.3), (2, 0.3), (2, 0.45)]:
-        centers = rng.uniform(-2, 2, size=(9, d))
-        gc = grid_for(d, eps)
+    grids = [grid_for(d, eps) for d, eps in [(1, 0.3), (2, 0.3), (2, 0.45)]]
+    cases = [(gc, rng.uniform(-2, 2, size=(9, gc.d))) for gc in grids]
+    for gc in grids:
+        cases.extend((gc, centers) for _, centers in enumeration_edge_centers(rng, gc, 9))
+    for gc, centers in cases:
         counts: dict[tuple, int] = {}
         for g in range(gc.n_grids):
             for c in centers:

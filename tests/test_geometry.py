@@ -16,10 +16,10 @@ from maxrs.geometry import (
     cell_stream_key,
     cell_stream_keys,
     cells_intersecting_ball,
+    cells_near_ball,
     make_grid_collection,
     mix_key,
     mix_keys,
-    sample_on_sphere,
     sphere_samples_keyed,
 )
 
@@ -186,16 +186,39 @@ def test_cells_intersecting_ball_matches_brute_scan():
         assert got == want
 
 
+def test_cells_near_ball_matches_per_grid_enumeration():
+    # The all-grid window, and its grid-0 slice, give each grid's cells in
+    # the order of a per-grid sweep, edge-case centers included.
+    from helpers import enumeration_edge_centers
+
+    rng = np.random.default_rng(5)
+    for d, s, delta in [(1, 0.6, 0.09), (2, 0.42, 0.09), (3, 0.52, 0.2)]:
+        gc = make_grid_collection(d, s, delta)
+        kinds = enumeration_edge_centers(rng, gc, 6) + [("random", rng.uniform(-3, 3, size=(6, d)))]
+        for _, centers in kinds:
+            for c in centers:
+                for radius in (1.0, 1.0 + gc.circumradius + 1e-9):
+                    want = [
+                        (k.grid_index, *k.lattice)
+                        for g in range(gc.n_grids)
+                        for k in cells_intersecting_ball(gc, g, c, radius)
+                    ]
+                    gs, zs = cells_near_ball(gc, c, radius)
+                    assert [(g, *z) for g, z in zip(gs.tolist(), zs.tolist())] == want
+                    _, z0 = cells_near_ball(gc, c, radius, slice(1))
+                    assert [(0, *z) for z in z0.tolist()] == want[: len(z0)]
+
+
 def test_sphere_samples_sit_on_the_sphere():
-    rng = np.random.default_rng(0)
-    pts = sample_on_sphere((0.5, -1.0, 2.0), 0.7, 500, rng)
-    r = np.linalg.norm(pts - np.array([0.5, -1.0, 2.0]), axis=1)
+    c = np.array([0.5, -1.0, 2.0])
+    keys = np.arange(500, dtype=np.uint64)
+    pts = sphere_samples_keyed(np.tile(c, (500, 1)), 0.7, 3, keys).reshape(-1, 3)
+    r = np.linalg.norm(pts - c, axis=1)
     assert np.max(np.abs(r - 0.7)) <= 1e-9
 
 
 def test_sphere_samples_look_uniform():
-    rng = np.random.default_rng(1)
-    pts = sample_on_sphere((0.0, 0.0), 1.0, 10_000, rng)
+    pts = sphere_samples_keyed(np.zeros((10, 2)), 1.0, 1000, np.arange(10, dtype=np.uint64)).reshape(-1, 2)
     assert np.max(np.abs(pts.mean(axis=0))) < 0.05
     # any fixed half-space through the center gets about half the mass
     frac = float(np.mean(pts @ np.array([0.6, 0.8]) > 0))

@@ -10,17 +10,23 @@ import math
 import numpy as np
 import pytest
 
-from maxrs.geometry import cell_stream_keys, sphere_samples_keyed
+from maxrs.geometry import CellKey, cell_stream_keys, sphere_samples_keyed, universe_with_support
+from maxrs.oracles import make_planted
 from maxrs.sample_solver import (
+    SolveOutcome,
     canonical_order,
     grid_for,
     max_colored_sample,
     max_weighted_sample,
     samples_per_cell,
-    universe_cells,
 )
 
-from helpers import random_weighted_arrays
+from helpers import (
+    colored_universe_best,
+    enumeration_edge_centers,
+    random_weighted_arrays,
+    weighted_universe_best,
+)
 
 
 def enumerate_best(centers, weights, d, eps, t, seed, salt=0):
@@ -29,7 +35,7 @@ def enumerate_best(centers, weights, d, eps, t, seed, salt=0):
     Ordering is (depth desc, grid, lattice, sample index asc).
     """
     gc = grid_for(d, eps)
-    gs, zs = universe_cells(gc, centers)
+    gs, zs, _ = universe_with_support(gc, centers)
     best = None
     for g, z in zip(gs, zs):
         c = gc.offsets[g] + (z + 0.5) * gc.cell_side
@@ -46,8 +52,10 @@ def enumerate_best(centers, weights, d, eps, t, seed, salt=0):
 @pytest.mark.parametrize("d", [1, 2])
 def test_stream_equals_full_enumeration(d):
     rng = np.random.default_rng(100 + d)
-    for _ in range(4):
-        centers, weights = random_weighted_arrays(rng, 12, d, extent=2.0)
+    cases = [random_weighted_arrays(rng, 12, d, extent=2.0) for _ in range(4)]
+    for _, centers in enumeration_edge_centers(rng, grid_for(d, 0.35), 10):
+        cases.append((centers, rng.integers(4, 17, size=len(centers)) / 8.0))
+    for centers, weights in cases:
         t = samples_per_cell(0.5, 0.35, len(centers))
         out = max_weighted_sample(centers, weights, d, 0.35, seed=3, t=t)
         ref = enumerate_best(centers, weights, d, 0.35, t, seed=3)
@@ -56,23 +64,83 @@ def test_stream_equals_full_enumeration(d):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_pruned_and_direct_paths_agree(d):
+def test_stream_matches_universe_reference(d):
     rng = np.random.default_rng(200 + d)
-    for seed in range(5):
-        centers, weights = random_weighted_arrays(rng, 20, d, extent=2.5)
-        a = max_weighted_sample(centers, weights, d, 0.3, c_sample=0.5, seed=seed, prune=True)
-        b = max_weighted_sample(centers, weights, d, 0.3, c_sample=0.5, seed=seed, prune=False)
-        assert a == b
+    cases = [random_weighted_arrays(rng, 20, d, extent=2.5) for _ in range(5)]
+    for _, centers in enumeration_edge_centers(rng, grid_for(d, 0.3), 14):
+        cases.append((centers, rng.integers(4, 17, size=len(centers)) / 8.0))
+    for seed, (centers, weights) in enumerate(cases):
+        a = max_weighted_sample(centers, weights, d, 0.3, c_sample=0.5, seed=seed)
+        t = samples_per_cell(0.5, 0.3, len(centers))
+        assert a == weighted_universe_best(centers, weights, d, 0.3, t, seed)
 
 
-def test_pruned_and_direct_paths_agree_colored():
+def test_stream_matches_universe_reference_colored():
     rng = np.random.default_rng(17)
-    for seed in range(4):
-        centers = rng.uniform(-2.5, 2.5, size=(18, 2))
-        colors = rng.integers(0, 5, size=18)
-        a = max_colored_sample(centers, colors, 2, 0.3, c_sample=0.5, seed=seed, prune=True)
-        b = max_colored_sample(centers, colors, 2, 0.3, c_sample=0.5, seed=seed, prune=False)
-        assert a == b
+    cases = [(rng.uniform(-2.5, 2.5, size=(18, 2)), rng.integers(0, 5, size=18)) for _ in range(4)]
+    for _, centers in enumeration_edge_centers(rng, grid_for(2, 0.3), 14):
+        cases.append((centers, rng.integers(0, 5, size=len(centers))))
+    for seed, (centers, colors) in enumerate(cases):
+        a = max_colored_sample(centers, colors, 2, 0.3, c_sample=0.5, seed=seed)
+        t = samples_per_cell(0.5, 0.3, len(centers))
+        assert a == colored_universe_best(centers, colors, 2, 0.3, t, seed)
+
+
+def golden_instances():
+    """(name, kind, centers, values, d, eps, c_sample, seed) of the pinned solves:
+    random 2-d, planted 3-d, lattice-aligned and far-offset inputs."""
+    out = []
+    rng = np.random.default_rng(501)
+    out.append(("w2-random", "w", rng.uniform(-2.5, 2.5, (20, 2)), rng.integers(4, 17, 20) / 8.0, 2, 0.3, 0.5, 0))
+    rng = np.random.default_rng(502)
+    out.append(("w2-random-real", "w", rng.uniform(-2.0, 2.0, (25, 2)), rng.uniform(0.5, 2.0, 25), 2, 0.25, 0.3, 1))
+    rng = np.random.default_rng(503)
+    out.append(("c2-random", "c", rng.uniform(-2.5, 2.5, (30, 2)), rng.integers(0, 6, 30), 2, 0.3, 0.5, 2))
+    p = make_planted(3, 6, 20, seed=7)
+    out.append(("w3-planted", "w", p.centers, p.weights, 3, 0.4, 0.3, 3))
+    p = make_planted(3, 5, 15, seed=8, colored=True)
+    out.append(("c3-planted", "c", p.centers, p.colors, 3, 0.4, 0.3, 4))
+    for d, eps in [(1, 0.25), (2, 0.3)]:
+        s = grid_for(d, eps).cell_side
+        rng = np.random.default_rng(510 + d)
+        z = rng.integers(-8, 9, (16, d)).astype(np.float64)
+        out.append((f"w{d}-lattice", "w", z * s, rng.integers(4, 17, 16) / 8.0, d, eps, 0.5, 5))
+        out.append((f"c{d}-lattice", "c", z * s, rng.integers(0, 4, 16), d, eps, 0.5, 6))
+    rng = np.random.default_rng(520)
+    out.append(("w2-offset", "w", 1e6 + rng.uniform(-2, 2, (18, 2)), rng.integers(4, 17, 18) / 8.0, 2, 0.3, 0.5, 7))
+    rng = np.random.default_rng(521)
+    centers = np.array([1e6, -1e6]) + rng.uniform(-2, 2, (22, 2))
+    out.append(("c2-offset", "c", centers, rng.integers(0, 5, 22), 2, 0.3, 0.5, 8))
+    return out
+
+
+# (point, value, (grid, lattice), sample index), recorded before the solver
+# was rebuilt over the shared cell window and the `depths` kernels.  The
+# real-weight value is the depth summed over the balls near the winning
+# parent cell, which can differ in the last bit from the full sum.
+GOLDEN = {
+    "w2-random": ((-1.3361854790616352, 0.3308156686416653), 8.25, (0, (-3, 0)), 9),
+    "w2-random-real": ((1.1036050098783605, 0.8314426548238676), 11.862092172109147, (18, (2, 1)), 3),
+    "c2-random": ((-0.7448896686146178, 1.7033075520600027), 6.0, (8, (-3, 3)), 17),
+    "w3-planted": ((-0.43717129280363454, -0.26988738479455665, -0.5361067555104553), 6.0, (0, (-2, -1, -1)), 0),
+    "c3-planted": ((-0.010587964700898733, -0.20796900704319263, 0.10210232448868761), 5.0, (0, (-1, -1, -1)), 2),
+    "w1-lattice": ((-3.0,), 7.75, (0, (-7,)), 0),
+    "c1-lattice": ((1.0,), 4.0, (0, (1,)), 0),
+    "w2-lattice": ((2.9848791602141733, -2.5617646628746056), 4.75, (0, (6, -7)), 4),
+    "c2-lattice": ((2.208552883530888, -1.0411447512645344), 3.0, (0, (4, -3)), 6),
+    "w2-offset": ((999998.6426537972, 999998.980363903), 9.75, (0, (2357019, 2357019)), 3),
+    "c2-offset": ((999998.979214855, -1000000.7562782969), 5.0, (0, (2357019, -2357025)), 1),
+}
+
+
+def test_sample_solver_golden_results():
+    insts = golden_instances()
+    assert [inst[0] for inst in insts] == list(GOLDEN)
+    for name, kind, centers, values, d, eps, c_sample, seed in insts:
+        solve = max_weighted_sample if kind == "w" else max_colored_sample
+        point, value, (g, lattice), samp = GOLDEN[name]
+        want = SolveOutcome(point=point, value=value, cell=CellKey(g, lattice), sample_index=samp)
+        assert solve(centers, values, d, eps, c_sample, seed) == want, name
 
 
 def test_reported_value_is_depth_at_point():
@@ -157,27 +225,6 @@ def test_canonical_order_matches_tuple_sort():
     got = canonical_order(gs, zs)
     want = sorted(range(60), key=lambda i: (gs[i], *zs[i]))
     assert got.tolist() == want
-
-
-def test_universe_cells_sorted_and_complete():
-    from maxrs.geometry import box_dist2, cells_intersecting_ball
-
-    rng = np.random.default_rng(14)
-    centers = rng.uniform(-2, 2, size=(8, 2))
-    gc = grid_for(2, 0.3)
-    gs, zs = universe_cells(gc, centers)
-    keys = [(int(g), tuple(int(v) for v in z)) for g, z in zip(gs, zs)]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
-    # every enumerated cell really touches a ball
-    lo = gc.offsets[gs] + zs * gc.cell_side
-    d2 = np.stack([box_dist2(lo, lo + gc.cell_side, np.tile(c, (len(gs), 1))) for c in centers])
-    assert np.all(d2.min(axis=0) <= 1.0)
-    # and every per-ball enumeration is contained in it
-    for g in range(gc.n_grids):
-        for c in centers:
-            for k in cells_intersecting_ball(gc, g, c):
-                assert (k.grid_index, k.lattice) in set(keys)
 
 
 def test_samples_per_cell_formula():
