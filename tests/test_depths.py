@@ -31,16 +31,6 @@ def test_weighted_depths_match_oracle():
         got = dp.weighted_depths(pts, centers, weights)
         for p, v in zip(pts, got):
             assert v == brute_depth(p, centers, weights)
-    # Radii other than 1: total weight within 1.3 of each point.
-    rng = np.random.default_rng(5)
-    centers = rng.uniform(-2, 2, size=(30, 2))
-    weights = rng.integers(1, 9, size=30) / 8.0
-    pts = rng.uniform(-2, 2, size=(20, 2))
-    got = dp.weighted_depths(pts, centers, weights, radius2=1.3 * 1.3)
-    for p, v in zip(pts, got):
-        diff = centers - p
-        near = np.einsum("ij,ij->i", diff, diff) <= 1.3 * 1.3
-        assert v == float(weights[near].sum())
 
 
 def test_colored_depths_match_oracle():
@@ -53,7 +43,23 @@ def test_colored_depths_match_oracle():
         got = dp.colored_depths(pts, centers, colors)
         for p, v in zip(pts, got):
             assert int(v) == brute_colored_depth(p, centers, colors)
-    # Radii other than 1, and repeated colors counted once.
+
+
+def test_mass_within_matches_direct_scan():
+    # Radii other than 1: total weight within 1.3 of each point.
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-2, 2, size=(30, 2))
+    weights = rng.integers(1, 9, size=30) / 8.0
+    pts = rng.uniform(-2, 2, size=(20, 2))
+    got = dp.weighted_depths(pts, centers, weights, radius2=1.3 * 1.3)
+    for p, v in zip(pts, got):
+        diff = centers - p
+        near = np.einsum("ij,ij->i", diff, diff) <= 1.3 * 1.3
+        assert v == float(weights[near].sum())
+
+
+def test_colors_within_counts_distinct():
+    # Repeated colors are counted once, at radius 1 and at other radii.
     centers = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0], [1.4, 0.0]])
     colors = np.array([1, 1, 2, 3, 4])
     assert dp.colored_depths([(0.0, 0.0)], centers[:4], colors[:4])[0] == 2
