@@ -3,6 +3,8 @@
 Builds one structure per size, times alternating random inserts and deletes,
 and fits the medians against log(n).  A flat med/log(n) column is the point:
 update cost should track the sample budget, which grows logarithmically.
+The far_us column is the median of 10 inserts placed at least 4 beyond every
+live ball, the worst case for an insert: all of its cells are fresh.
 
 Usage:
     python3 scripts/bench_update_scaling.py --sizes 1000 10000 --ops 120
@@ -47,7 +49,15 @@ def run_size(n, eps, c_sample, ops, extent, seed):
             solver.delete(bid)
             times.append(time.perf_counter() - t0)
     med = 1e6 * float(np.median(times))
-    return build, med, solver.n_active_cells
+    cells = solver.n_active_cells
+
+    far = []
+    for k in range(10):
+        ball = WeightedBall((extent + 4.0 * (k + 1), 0.0), 1.0, id=next_id + k)
+        t0 = time.perf_counter()
+        solver.insert(ball)
+        far.append(time.perf_counter() - t0)
+    return build, med, cells, 1e6 * float(np.median(far))
 
 
 def main():
@@ -60,13 +70,13 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print(f"{'n':>8}  {'build_s':>8}  {'cells':>9}  {'med_us':>8}  {'med/log(n)':>10}")
+    print(f"{'n':>8}  {'build_s':>8}  {'cells':>9}  {'med_us':>8}  {'med/log(n)':>10}  {'far_us':>9}")
     ratios = []
     for n in args.sizes:
-        build, med, cells = run_size(n, args.eps, args.c_sample, args.ops, args.extent, args.seed)
+        build, med, cells, far = run_size(n, args.eps, args.c_sample, args.ops, args.extent, args.seed)
         r = med / math.log(n)
         ratios.append(r)
-        print(f"{n:>8}  {build:>8.2f}  {cells:>9}  {med:>8.1f}  {r:>10.2f}")
+        print(f"{n:>8}  {build:>8.2f}  {cells:>9}  {med:>8.1f}  {r:>10.2f}  {far:>9.1f}")
     if len(ratios) > 1:
         print(f"spread max/min = {max(ratios) / min(ratios):.2f}  (log-fit holds if <= 2)")
 

@@ -1,9 +1,11 @@
 """Batched depth and mass queries against a fixed set of ball centers.
 
 Everything here is brute force by design: distances from query points to all
-centers, vectorized and chunked. At the instance sizes this package targets
-(thousands of balls), that outruns any spatial index, and it doubles as the
-trusted evaluation layer the solvers' pruning bounds are checked against.
+given centers, vectorized and chunked.  It doubles as the trusted evaluation
+layer the solvers' pruning bounds are checked against.  Locality is the
+caller's job: the sample solver restricts centers to those near a parent
+cell, and dynamic passes only the balls of a bucket window around each group
+of cells, so no call here pays for far-away balls.
 
 Centers are deduplicated first (dedupe_centers, color_groups), so
 degenerate inputs (many balls stacked on one center) cost one distance row

@@ -4,8 +4,16 @@ Active state is the set of grid cells whose closed box touches at least one
 stored ball.  Each active cell keeps its t keyed circumsphere samples and
 their exact depths; updates touch only cells near the changed ball (one
 geometry.cells_near_ball window over all grids), and a per-cell support
-count tells exactly when a cell leaves the universe.  Rebuilds activate the
-whole universe at once from geometry.universe_with_support.
+count tells exactly when a cell leaves the universe.
+
+Live balls are also kept in a bucket index (bucket side just above 1 + rho,
+rho the cell circumradius), so every ball that touches a cell or contains
+one of its samples sits in the 3^d buckets around the cell center's bucket.
+One activation routine serves inserts and rebuilds alike: it draws the new
+cells' samples and scores them, and counts their support, against those
+buckets only.  An insert therefore costs time in the balls near it, not in
+all stored balls.  Rebuilds activate the whole universe at once from
+geometry.universe_with_support, whose support counts they keep.
 
 Sample streams are keyed by (seed, salt, cell), so a cell activated,
 deactivated, and activated again within one epoch regenerates the identical
@@ -20,6 +28,7 @@ with the static search over the same balls.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -44,6 +53,11 @@ from maxrs.sample_solver import (
 )
 
 __all__ = ["DynamicMaxRS", "static_solve"]
+
+# Cells whose samples are drawn per sphere_samples_keyed call: bounds the
+# sampler's transients on rebuilds (samples are keyed per cell, so chunking
+# changes no value).
+_SAMPLE_CHUNK = 32768
 
 
 def static_solve(balls, d: int, eps: float, c_sample: float = 4.0, seed: int = 0) -> SolveOutcome | None:
@@ -70,13 +84,14 @@ class DynamicMaxRS:
         self._epoch_n = 0
         self._t = samples_per_cell(c_sample, eps, 0)
         self._balls: dict[int, WeightedBall] = {}
+        # Live balls by the bucket of their center; see the module docstring.
+        self._bside = 1.0 + self._gc.circumradius + 1e-6
+        self._buckets: dict[tuple, dict[int, WeightedBall]] = {}
+        self._window = list(itertools.product((-1, 0, 1), repeat=d))
         self._next_id = 0
         self._n_updates = 0
         self._alloc(256)
         self._cells: dict[tuple, int] = {}
-        self._arrays_dirty = True
-        self._centers = np.zeros((0, d))
-        self._weights = np.zeros(0)
 
     # -- storage ----------------------------------------------------------
 
@@ -102,106 +117,68 @@ class DynamicMaxRS:
         self._free.extend(range(cap - 1, old - 1, -1))
 
     def _ball_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._arrays_dirty:
-            if self._balls:
-                bs = list(self._balls.values())
-                self._centers = centers_array(bs)
-                self._weights = weights_array(bs)
-            else:
-                self._centers = np.zeros((0, self._gc.d))
-                self._weights = np.zeros(0)
-            self._arrays_dirty = False
-        return self._centers, self._weights
+        bs = list(self._balls.values())
+        return centers_array(bs), weights_array(bs)
+
+    def _bucket_of(self, center) -> tuple:
+        return tuple(math.floor(v / self._bside) for v in center)
+
+    def _window_balls(self, bucket: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and weights of the live balls in the 3^d buckets around
+        `bucket`."""
+        bs = []
+        for o in self._window:
+            near = self._buckets.get(tuple(a + b for a, b in zip(bucket, o)))
+            if near:
+                bs.extend(near.values())
+        centers = np.array([b.center for b in bs], dtype=np.float64).reshape(-1, self._gc.d)
+        return centers, np.array([b.weight for b in bs], dtype=np.float64)
 
     # -- cell bookkeeping --------------------------------------------------
 
-    def _activate_batch(self, keys: list[tuple]) -> None:
-        """Create blocks for cells (full depth scan against all stored balls)."""
-        if not keys:
+    def _activate(self, gs: np.ndarray, zs: np.ndarray, support: np.ndarray | None = None) -> None:
+        """Create blocks for cells: keyed samples, exact depths and support
+        counts (unless given), each against the balls of the bucket window
+        around the cell's center.  Bitwise equal to scanning every stored
+        ball whenever weight sums are exactly representable: the skipped
+        balls are exactly those contributing 0.0 and touching nothing, and
+        dedupe orders centers canonically either way."""
+        k = len(gs)
+        if k == 0:
             return
-        while len(self._free) < len(keys):
+        while len(self._free) < k:
             self._grow()
         gc = self._gc
-        blocks = np.array([self._free.pop() for _ in keys], dtype=np.int64)
-        gs = np.array([k[0] for k in keys], dtype=np.int64)
-        zs = np.array([k[1:] for k in keys], dtype=np.int64)
-        centers = gc.offsets[gs] + (zs + 0.5) * gc.cell_side
-        skeys = cell_stream_keys(self._seed, self._salt, gs, zs)
-        pts = sphere_samples_keyed(centers, gc.circumradius, self._t, skeys)
-
-        bc, bw = self._ball_arrays()
-        uniq, sums = dp.dedupe_centers(bc, bw)
-        dep = dp.weighted_depths_u(pts.reshape(-1, gc.d), uniq, sums).reshape(len(keys), self._t)
-
-        lo = gc.offsets[gs] + zs * gc.cell_side
-        support = (box_dist2(lo[:, None, :], lo[:, None, :] + gc.cell_side, bc[None, :, :]) <= 1.0).sum(axis=1)
-
-        self._S[blocks] = pts
-        self._D[blocks] = dep
+        d, t, s = gc.d, self._t, gc.cell_side
+        blocks = np.array(self._free[-k:][::-1], dtype=np.int64)
+        del self._free[-k:]
         self._gs[blocks] = gs
         self._zs[blocks] = zs
-        self._nballs[blocks] = support
-        self._rowmax[blocks] = dep.max(axis=1)
-        self._cells.update(zip(keys, blocks.tolist()))
-
-    def _activate_bulk(self, gs: np.ndarray, zs: np.ndarray, support: np.ndarray) -> None:
-        """Rebuild-time activation: depths against nearby balls only, found
-        through a coarse bucket grid.  Bitwise equal to the full scan: the
-        skipped balls are exactly those contributing 0.0, and the dedupe step
-        orders centers canonically either way."""
-        if len(gs) == 0:
-            return
-        while len(self._free) < len(gs):
-            self._grow()
-        gc = self._gc
-        d, t = gc.d, self._t
-        blocks = np.array([self._free.pop() for _ in range(len(gs))], dtype=np.int64)
-        centers = gc.offsets[gs] + (zs + 0.5) * gc.cell_side
+        centers = gc.offsets[gs] + (zs + 0.5) * s
         skeys = cell_stream_keys(self._seed, self._salt, gs, zs)
-        pts = sphere_samples_keyed(centers, gc.circumradius, t, skeys)
+        for i in range(0, k, _SAMPLE_CHUNK):
+            sl = slice(i, i + _SAMPLE_CHUNK)
+            self._S[blocks[sl]] = sphere_samples_keyed(centers[sl], gc.circumradius, t, skeys[sl])
+        if support is not None:
+            self._nballs[blocks] = support
+        lo = gc.offsets[gs] + zs * s
 
-        bc, bw = self._ball_arrays()
-        # Every ball containing a sample of a cell lies within 1 + rho of the
-        # cell center, so with bucket side > 1 + rho the 3^d window suffices.
-        side = 1.0 + gc.circumradius + 1e-6
-        cb = np.floor(centers / side).astype(np.int64)
-        bb = np.floor(bc / side).astype(np.int64)
-        border = np.lexsort(tuple(bb[:, ax] for ax in reversed(range(d))))
-        ub, bstarts = np.unique(bb[border], axis=0, return_index=True)
-        bends = np.append(bstarts[1:], len(border))
-        bmap = {tuple(v): (int(a), int(b)) for v, a, b in zip(ub, bstarts, bends)}
-        corder = np.lexsort(tuple(cb[:, ax] for ax in reversed(range(d))))
-        uc, cstarts = np.unique(cb[corder], axis=0, return_index=True)
-        cends = np.append(cstarts[1:], len(corder))
-        win = np.stack(
-            np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"), axis=-1
-        ).reshape(-1, d)
-
-        dep = np.zeros((len(gs), t))
-        for v, a, b in zip(uc, cstarts, cends):
-            rows = corder[a:b]
-            segs = [bmap.get(tuple(v + o)) for o in win]
-            segs = [border[s0:s1] for seg in segs if seg is not None for s0, s1 in [seg]]
-            if segs:
-                idx = np.sort(np.concatenate(segs))
-                dep[rows] = dp.weighted_depths(
-                    pts[rows].reshape(-1, d), bc[idx], bw[idx]
-                ).reshape(len(rows), t)
-
-        self._S[blocks] = pts
-        self._D[blocks] = dep
-        self._gs[blocks] = gs
-        self._zs[blocks] = zs
-        self._nballs[blocks] = support
-        self._rowmax[blocks] = dep.max(axis=1)
-        self._cells.update(
-            ((g, *z), b) for g, z, b in zip(gs.tolist(), zs.tolist(), blocks.tolist())
-        )
-
-    def _deactivate(self, key: tuple, block: int) -> None:
-        del self._cells[key]
-        self._rowmax[block] = -math.inf
-        self._free.append(block)
+        # One group of cells per bucket of their centers, in bucket order.
+        cb = np.floor(centers / self._bside).astype(np.int64)
+        order = np.lexsort(cb.T[::-1])
+        cb = cb[order]
+        cuts = np.flatnonzero(np.any(cb[1:] != cb[:-1], axis=1)) + 1
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), k]):
+            rows = order[a:b]
+            br = blocks[rows]
+            wc, ww = self._window_balls(tuple(cb[a].tolist()))
+            dep = dp.weighted_depths(self._S[br].reshape(-1, d), wc, ww).reshape(len(rows), t)
+            self._D[br] = dep
+            self._rowmax[br] = dep.max(axis=1)
+            if support is None:
+                glo = lo[rows][:, None, :]
+                self._nballs[br] = (box_dist2(glo, glo + s, wc[None, :, :]) <= 1.0).sum(axis=1)
+        self._cells.update(zip(zip(gs.tolist(), *zs.T.tolist()), blocks.tolist()))
 
     def _apply_ball(self, center: np.ndarray, weight: float, sign: int) -> None:
         gc = self._gc
@@ -209,7 +186,7 @@ class DynamicMaxRS:
         gs, zs = cells_near_ball(gc, center, 1.0 + gc.circumradius + PAD)
         if len(gs) == 0:
             return
-        keys = [(g, *z) for g, z in zip(gs.tolist(), zs.tolist())]
+        keys = list(zip(gs.tolist(), *zs.T.tolist()))
         blk = np.array([self._cells.get(k, -1) for k in keys], dtype=np.int64)
         active = blk >= 0
         lo = gc.offsets[gs] + zs * s
@@ -224,19 +201,16 @@ class DynamicMaxRS:
             am = member[active]
             self._nballs[blocks] += sign * am
             if sign < 0:
-                act = active.tolist()
-                for k, b, m in zip(
-                    [k for k, a in zip(keys, act) if a], blocks, am
-                ):
-                    if m and self._nballs[b] == 0:
-                        self._deactivate(k, int(b))
+                dead = am & (self._nballs[blocks] == 0)
+                for i in np.flatnonzero(active)[dead].tolist():
+                    del self._cells[keys[i]]
+                self._rowmax[blocks[dead]] = -math.inf
+                self._free.extend(blocks[dead].tolist())
 
         if sign > 0:
-            fresh_mask = ~active & member
-            if fresh_mask.any():
-                self._activate_batch(
-                    [k for k, f in zip(keys, fresh_mask.tolist()) if f]
-                )
+            fresh = ~active & member
+            if fresh.any():
+                self._activate(gs[fresh], zs[fresh])
 
     # -- epochs ------------------------------------------------------------
 
@@ -246,12 +220,15 @@ class DynamicMaxRS:
         self._epoch_n = len(self._balls)
         self._t = samples_per_cell(self._c_sample, self._eps, self._epoch_n)
         self._cells = {}
-        self._alloc(max(256, len(self._gs)))
+        cap = max(256, len(self._gs))
         if not self._balls:
+            self._alloc(cap)
             return
-        bc, _ = self._ball_arrays()
-        gs, zs, support = universe_with_support(self._gc, bc)
-        self._activate_bulk(gs, zs, support)
+        gs, zs, support = universe_with_support(self._gc, self._ball_arrays()[0])
+        while cap < len(gs):
+            cap *= 2
+        self._alloc(cap)
+        self._activate(gs, zs, support)
 
     @classmethod
     def bulk_build(cls, balls, d: int, eps: float, c_sample: float = 4.0, seed: int = 0) -> "DynamicMaxRS":
@@ -273,7 +250,7 @@ class DynamicMaxRS:
             raise ValueError(f"duplicate ball id {bid}")
         self._next_id = max(self._next_id, bid + 1)
         self._balls[bid] = ball
-        self._arrays_dirty = True
+        self._buckets.setdefault(self._bucket_of(ball.center), {})[bid] = ball
         return bid
 
     def insert(self, ball: WeightedBall) -> int:
@@ -289,7 +266,10 @@ class DynamicMaxRS:
         ball = self._balls.pop(ball_id, None)
         if ball is None:
             raise ValueError(f"unknown ball id {ball_id}")
-        self._arrays_dirty = True
+        key = self._bucket_of(ball.center)
+        del self._buckets[key][ball_id]
+        if not self._buckets[key]:
+            del self._buckets[key]
         self._n_updates += 1
         if 2 * len(self._balls) < self._epoch_n:
             self._rebuild(bump_salt=True)

@@ -1,8 +1,11 @@
 """Insert/delete/query structure vs the one-shot solver and direct recounts."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from maxrs import depths as dp
 from maxrs.balls import WeightedBall
 from maxrs.dynamic import DynamicMaxRS, static_solve
 from maxrs.geometry import cells_intersecting_ball, universe_with_support
@@ -170,22 +173,62 @@ def test_universe_with_support_matches_per_ball_enumeration():
         assert keys == sorted(keys)
 
 
+def _cell_table(s):
+    return {
+        k: (tuple(s._S[b].ravel().tolist()), tuple(s._D[b].tolist()), int(s._nballs[b]), float(s._rowmax[b]))
+        for k, b in s._cells.items()
+    }
+
+
 def test_incremental_matches_fresh_bulk_after_rebuild():
-    # A history ending in a rebuild carries no incremental residue: the state
-    # equals a bulk build of the survivors at the same salt.
+    # Inserts (some into empty space) and deletes that return to the epoch's
+    # starting count leave the same cell table, bitwise, as rebuilding the
+    # survivors at the same salt and budget: both paths run _activate.
     rng = np.random.default_rng(11)
     balls = random_weighted(rng, 31, 2)
     s = DynamicMaxRS.bulk_build(balls, 2, 0.4, c_sample=0.5, seed=5)
-    for bid in range(16):
-        s.delete(bid)
-    assert s.salt == 1
-    survivors = [b for b in balls if b.id >= 16]
-    fresh = DynamicMaxRS(2, 0.4, c_sample=0.5, seed=5)
-    for b in survivors:
-        fresh.insert(b)
-    # fresh: rebuilds on inserts 1, 3, 7, 15 leave salt 4; force one more
-    # epoch so both sides carry identical budgets before comparing depths.
-    assert s.n_balls == fresh.n_balls
-    assert s.query() is not None
+    live = [b.id for b in balls]
+    for step in range(60):
+        if step % 3 == 2:
+            s.delete(live.pop(int(rng.integers(len(live)))))
+        else:
+            extent = 3.0 if step % 2 else 12.0
+            c = rng.uniform(-extent, extent, size=2)
+            live.append(s.insert(WeightedBall(tuple(c.tolist()), float(rng.integers(4, 17) / 8.0))))
+    while len(live) > 31:
+        s.delete(live.pop(int(rng.integers(len(live)))))
+    assert s.salt == 0 and s.n_balls == s.epoch_start_count == 31
     assert s.audit() == (0.0, 0)
-    assert fresh.audit() == (0.0, 0)
+    fresh = copy.deepcopy(s)
+    fresh._rebuild(bump_salt=False)
+    assert fresh.salt == 0 and fresh.sample_budget == s.sample_budget
+    assert _cell_table(s) == _cell_table(fresh)
+    assert s.query() == fresh.query()
+
+
+def test_far_insert_scores_only_its_own_ball(monkeypatch):
+    # An insert far from every stored ball computes depths against that ball
+    # alone, and deleting it leaves no empty bucket behind.
+    rng = np.random.default_rng(12)
+    balls = random_weighted(rng, 200, 2, extent=6.0)
+    s = DynamicMaxRS.bulk_build(balls, 2, 0.3, c_sample=0.25, seed=1)
+    seen = []
+    kernel = dp.weighted_depths_u
+
+    def spy(points, uniq, sums, *args, **kwargs):
+        seen.append(len(uniq))
+        return kernel(points, uniq, sums, *args, **kwargs)
+
+    monkeypatch.setattr(dp, "weighted_depths_u", spy)
+    cells = s.n_active_cells
+    # Centers lie in [-6, 6]^2: (10, 10) is at least 4 * sqrt(2) from each.
+    bid = s.insert(WeightedBall((10.0, 10.0), 1.0))
+    assert s.n_active_cells > cells
+    assert seen and all(k == 1 for k in seen)
+    monkeypatch.undo()
+    assert s.audit() == (0.0, 0)
+    s.delete(bid)
+    assert s.n_active_cells == cells
+    assert all(s._buckets.values())
+    assert sum(len(v) for v in s._buckets.values()) == s.n_balls
+    assert s.audit() == (0.0, 0)
